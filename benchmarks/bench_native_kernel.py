@@ -15,7 +15,13 @@ Acceptance gates:
   suite covers the small-graph grid; this reasserts it at benchmark
   shape);
 * speedup — the native engine must be ≥ 3× faster than the array
-  engine at ``n = 10^5`` on the synchronous ring.
+  engine at ``n = 10^5`` on the synchronous ring;
+* layer gap — on one ``n = 10^5`` gnm start, ``run(until=graph_is_good)``
+  with ``MoveCounter`` (what a campaign pays per node-step) must cost at
+  most 2× ``advance()`` over the same steps (the kernel layer), and
+  both must land on the codes, steps and move count the array engine
+  reaches.  It is a ratio of two timings taken in one process, so
+  machine speed cancels out.
 
 Alongside the rendered table the benchmark persists
 ``benchmarks/results/BENCH_native_kernel.json`` whose ``meta`` block
@@ -37,7 +43,9 @@ import numpy as np
 import pytest
 from conftest import emit, peak_rss_bytes
 
+from repro.analysis.monitors import MoveCounter
 from repro.analysis.tables import render_table, results_dir
+from repro.campaigns.registry import au_round_budget
 from repro.core.algau import ThinUnison
 from repro.core.algau_native import native_backend_name
 from repro.graphs.frontier import FRONTIER_FAMILIES
@@ -54,9 +62,12 @@ STEPS = {10_000: 60, 100_000: 15, 1_000_000: 4}
 ARRAY_STEPS = {10_000: 20, 100_000: 5}
 SPEEDUP_FLOOR_AT_100K = 3.0
 GATE_N = 100_000
+#: Ceiling on run()-with-MoveCounter over advance() at GATE_N.
+RUN_OVER_ADVANCE_CEILING = 2.0
+LAYER_FAMILY = "gnm"
 
 
-def _execution(engine: str, topology, seed: int = 5):
+def _execution(engine: str, topology, seed: int = 5, monitors=()):
     algorithm = ThinUnison(D)
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, algorithm.encoding.size, topology.n)
@@ -67,8 +78,50 @@ def _execution(engine: str, topology, seed: int = 5):
         initial,
         SynchronousScheduler(),
         rng=np.random.default_rng(0),
+        monitors=monitors,
         engine=engine,
     )
+
+
+def _stabilize(engine: str, topology):
+    """``run(until=graph_is_good)`` with ``MoveCounter`` from the seeded
+    start: ``(seconds, steps, moves, execution)``."""
+    mover = MoveCounter()
+    execution = _execution(engine, topology, monitors=(mover,))
+    start = time.perf_counter()
+    result = execution.run(
+        max_rounds=au_round_budget(D), until=lambda e: e.graph_is_good()
+    )
+    seconds = time.perf_counter() - start
+    assert result.stopped_by_predicate, result
+    return seconds, result.steps, mover.moves, execution
+
+
+def _run_and_advance(topology, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` native ``run()`` and ``advance()`` over the
+    same start and step count, checked against the array engine."""
+    run_s = advance_s = float("inf")
+    for _ in range(repeats):
+        seconds, steps, moves, ran = _stabilize("native", topology)
+        run_s = min(run_s, seconds)
+        bulk = _execution("native", topology)
+        start = time.perf_counter()
+        bulk.advance(steps)
+        advance_s = min(advance_s, time.perf_counter() - start)
+        assert np.array_equal(bulk.codes, ran.codes)
+    _, array_steps, array_moves, array = _stabilize("array", topology)
+    assert (array_steps, array_moves) == (steps, moves)
+    assert np.array_equal(array.codes, ran.codes)
+    node_steps = steps * topology.n
+    return {
+        "family": LAYER_FAMILY,
+        "n": topology.n,
+        "steps": steps,
+        "moves": moves,
+        "run_ns_per_node_step": run_s / node_steps * 1e9,
+        "advance_ns_per_node_step": advance_s / node_steps * 1e9,
+        "run_over_advance": run_s / advance_s,
+    }
 
 
 def _seconds_per_step(engine: str, topology, steps: int, repeats: int = 2) -> float:
@@ -144,6 +197,9 @@ def test_native_kernel_frontier(benchmark):
             )
             del topology
 
+    layers = _run_and_advance(FRONTIER_FAMILIES[LAYER_FAMILY](GATE_N, seed=GATE_N))
+    payload["run_vs_advance"] = layers
+
     rss = peak_rss_bytes()
     payload["meta"] = {
         "backend": native_backend_name(),
@@ -156,18 +212,46 @@ def test_native_kernel_frontier(benchmark):
         rows,
         title=(
             f"Native kernel tier — synchronous frontier stepping, D={D} "
-            f"(backend: {native_backend_name()}, best-of-2, record-free "
-            "advance)"
+            f"(backend: {native_backend_name()}, best-of-2, kernel layer: "
+            "advance())"
         ),
     )
-    emit("native_kernel", table)
+    layer_table = render_table(
+        ["layer", "family", "n", "steps", "moves", "ns/node-step"],
+        [
+            (
+                label,
+                LAYER_FAMILY,
+                f"{GATE_N:,}",
+                str(layers["steps"]),
+                f"{layers['moves']:,}",
+                f"{layers[key]:.1f}",
+            )
+            for label, key in (
+                ("kernel: advance()", "advance_ns_per_node_step"),
+                (
+                    "run(until=graph_is_good) + MoveCounter",
+                    "run_ns_per_node_step",
+                ),
+            )
+        ],
+        title=(
+            "Native lane, one stabilizing start, best-of-3 — run() over "
+            "advance(): "
+            f"{layers['run_over_advance']:.2f}x "
+            f"(gate ≤ {RUN_OVER_ADVANCE_CEILING:.1f}x)"
+        ),
+    )
+    emit("native_kernel", table + "\n\n" + layer_table)
 
     json_path = os.path.join(results_dir(), "BENCH_native_kernel.json")
     with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
     print(f"[saved to {json_path}]")
 
-    # Gate 2: the issue's headline speedup claim.
+    # Gate 2: the headline speedup over the array engine.
     assert speedups[GATE_N] >= SPEEDUP_FLOOR_AT_100K, speedups
+    # Gate 3: what a campaign pays stays within 2x of the kernel layer.
+    assert layers["run_over_advance"] <= RUN_OVER_ADVANCE_CEILING, layers
 
     benchmark.pedantic(kernel, rounds=2, iterations=1)

@@ -9,6 +9,7 @@ Observations), and record output-vector dynamics for the static tasks.
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
+from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.algau import ThinUnison, TransitionType
@@ -23,15 +24,20 @@ from repro.model.execution import Execution, Monitor, StepRecord
 
 
 class TransitionCounter(Monitor):
-    """Tallies AlgAU transition types (AA/AF/FA) per node and overall."""
+    """Tallies AlgAU transition types (AA/AF/FA) per node and overall.
+
+    Per-node tallies exist for every node present at start and are
+    created on demand for nodes that join later (membership churn)."""
 
     def __init__(self, algorithm: ThinUnison):
         self.algorithm = algorithm
         self.totals: TallyCounter = TallyCounter()
-        self.per_node: Dict[int, TallyCounter] = {}
+        self.per_node: Dict[int, TallyCounter] = defaultdict(TallyCounter)
 
     def on_start(self, execution: Execution) -> None:
-        self.per_node = {v: TallyCounter() for v in execution.topology.nodes}
+        self.per_node = defaultdict(
+            TallyCounter, {v: TallyCounter() for v in execution.topology.nodes}
+        )
 
     def on_step(self, execution: Execution, record: StepRecord) -> None:
         for node, old, new in record.changed:
@@ -53,9 +59,12 @@ class MoveCounter(Monitor):
     only real state changes (``delta`` transitions applied by the step)
     into ``StepRecord.changed``, so activations where ``delta`` returned
     the current state are free, and out-of-band corruption (pokes,
-    ``replace_configuration``) is never billed as algorithm work.  The
-    count accumulates across :meth:`on_start` boundaries so one counter
-    can total a multi-phase run (e.g. stabilize + recover).
+    ``replace_configuration``) is never billed as algorithm work.  On
+    the array tier ``changed`` is a
+    :class:`~repro.model.engine.CodeChangeSet` whose ``len()`` is O(1)
+    and decodes nothing, so counting costs the same at any move count.
+    The count accumulates across :meth:`on_start` boundaries so one
+    counter can total a multi-phase run (e.g. stabilize + recover).
     """
 
     def __init__(self) -> None:

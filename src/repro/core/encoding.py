@@ -27,6 +27,7 @@ trivially splittable into its able (``[:, :2k]``) and faulty
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Tuple
 
 import numpy as np
@@ -43,6 +44,7 @@ class TurnEncoding:
         "_turns",
         "_turn_table",
         "_code_map",
+        "_code_by_id",
         "_level_of_code",
         "_clock_of_code",
         "_is_faulty_code",
@@ -64,6 +66,14 @@ class TurnEncoding:
         self._turn_table: Tuple[Turn, ...] = able_part + faulty_part
         self._code_map: Dict[Turn, int] = {
             turn: code for code, turn in enumerate(self._turn_table)
+        }
+        # Identity-keyed fast path for encode_configuration: the table's
+        # own turns (what decoding produces) and the turn system's (what
+        # the fault injectors draw from).  Both are kept alive by this
+        # encoding, so an id() can never be reused by a foreign object.
+        self._code_by_id: Dict[int, int] = {
+            id(turn): self._code_map[turn]
+            for turn in self._turn_table + turns.all_turns
         }
         self._level_of_code = np.array(
             [turn.level for turn in self._turn_table], dtype=np.int64
@@ -151,17 +161,22 @@ class TurnEncoding:
     def encode_configuration(self, configuration) -> np.ndarray:
         """Code vector (node order ``0 .. n-1``) of a
         :class:`~repro.model.configuration.Configuration`."""
+        states = configuration.states()
+        codes = np.fromiter(
+            map(self._code_by_id.get, map(id, states), repeat(-1, len(states))),
+            dtype=np.int64,
+            count=len(states),
+        )
+        # Equal turns built elsewhere miss the identity map: hash them.
         code_map = self._code_map
-        try:
-            return np.array(
-                [code_map[turn] for turn in configuration.states()],
-                dtype=np.int64,
-            )
-        except KeyError as error:
-            raise ModelError(
-                f"{error.args[0]!r} is not a turn for "
-                f"k={self._turns.levels.k}"
-            ) from None
+        for v in np.flatnonzero(codes < 0).tolist():
+            code = code_map.get(states[v])
+            if code is None:
+                raise ModelError(
+                    f"{states[v]!r} is not a turn for k={self._turns.levels.k}"
+                )
+            codes[v] = code
+        return codes
 
     def decode_configuration(self, topology, codes: np.ndarray):
         """Rebuild the object-model
@@ -177,9 +192,8 @@ class TurnEncoding:
         codes = np.asarray(codes)
         if codes.size and (codes.min() < 0 or codes.max() >= self.size):
             raise ModelError(f"code vector contains values outside 0..{self.size - 1}")
-        table = self._turn_table
         return Configuration._from_state_tuple(
-            topology, tuple(table[int(code)] for code in codes)
+            topology, tuple(map(self._turn_table.__getitem__, codes.tolist()))
         )
 
     def __repr__(self) -> str:

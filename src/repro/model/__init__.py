@@ -26,7 +26,7 @@ from repro.model.errors import (
     UnknownEngineError,
 )
 from repro.model.array_engine import ArrayExecution, supports_array_engine
-from repro.model.engine import ExecutionBase, create_execution
+from repro.model.engine import CodeChangeSet, ExecutionBase, create_execution
 from repro.model.execution import Execution, Monitor, RunResult, StepRecord
 from repro.model.rounds import RoundTracker
 from repro.model.scheduler import (
@@ -47,6 +47,7 @@ from repro.model.signal import Signal
 __all__ = [
     "Algorithm",
     "ArrayExecution",
+    "CodeChangeSet",
     "Configuration",
     "ConfigurationError",
     "Distribution",

@@ -26,15 +26,19 @@ amortized instead of rescanning the configuration.
 The engine implements the exact contract of
 :class:`~repro.model.engine.ExecutionBase`:
 
-* identical ``StepRecord`` streams (activation sets, change tuples with
-  real :class:`~repro.core.turns.Turn` objects, round completion flags)
-  for the same seeds — verified step for step by the differential test
-  suite;
+* identical ``StepRecord`` streams (activation sets, change sets equal
+  to the object engine's tuples of real :class:`~repro.core.turns.Turn`
+  objects, round completion flags) for the same seeds — verified step
+  for step by the differential test suite;
+* a record's ``changed`` is a
+  :class:`~repro.model.engine.CodeChangeSet` over the step's moved
+  node/old/new code arrays, decoded only when read, so counting moves
+  costs O(1) per step;
 * monitors and interventions see a real
   :class:`~repro.model.configuration.Configuration` via the
   :attr:`configuration` property, which is decoded lazily and cached
-  until the codes change, so monitor-free runs never materialize Turn
-  objects except for the changed nodes of each record;
+  until the codes change, so runs whose monitors only count moves never
+  materialize Turn objects;
 * any scheduler works: the activation set is translated to an index
   array, and sparse activations take a fast path that only gathers the
   activated rows of the presence matrix.
@@ -47,14 +51,14 @@ the paper's variant and the ``cautious_af=False`` ablation).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple, TYPE_CHECKING
+from typing import FrozenSet, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.graphs.topology import Topology
 from repro.model.algorithm import Algorithm
 from repro.model.configuration import Configuration
-from repro.model.engine import ExecutionBase, Intervention, Monitor
+from repro.model.engine import CodeChangeSet, ExecutionBase, Intervention, Monitor
 from repro.model.errors import ModelError
 from repro.model.scheduler import Scheduler
 
@@ -199,7 +203,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
         self._config_cache = None
         self._mark_dirty_rows(rows)
 
-    def _apply(self, activated: FrozenSet[int]) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    def _apply(self, activated: FrozenSet[int]) -> Sequence[Tuple[int, Turn, Turn]]:
         if not self.incremental:
             return self._apply_naive(activated)
         codes = self._codes
@@ -243,67 +247,18 @@ class ArrayExecution(ExecutionBase["Turn"]):
         self._mark_dirty_rows(diff)
         return changed
 
-    def advance(self, steps: int) -> None:
-        """Record-free bulk stepping (see :meth:`ExecutionBase.advance`).
-
-        The fast path drops everything a discarded ``StepRecord`` would
-        have carried — the per-change Turn tuples, the activation
-        frozenset copy, the enabled stamp — while running the *same*
-        ``_apply`` pipeline on the same scheduler draws, so state
-        trajectories stay bit-identical to ``steps`` :meth:`step` calls.
-        Anything that needs the per-step protocol (monitors,
-        interventions, masks, enabled-aware daemons, enabled tracking)
-        falls back to the generic loop.
-        """
-        if (
-            self.monitors
-            or self.intervention is not None
-            or self._track_enabled
-            or self._masked
-            or self.scheduler.uses_enabled_view
-        ):
-            super().advance(steps)
-            return
-        self._notify_start()
-        scheduler = self.scheduler
-        nodes = self.topology.nodes
-        rounds = self._rounds
-        self._record_changes = False
-        sched_t0 = self._sched_t0
-        try:
-            for _ in range(steps):
-                activated = scheduler.activations(self._t - sched_t0, nodes, self.rng)
-                if activated:
-                    self._apply(activated)
-                rounds.observe(activated)
-                self._t += 1
-        finally:
-            self._record_changes = True
-
-    def _commit(
-        self, diff: np.ndarray, new_diff: np.ndarray
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
-        """Apply the moved lanes: build the change tuples, fold the
-        goodness counts (which must read pre-write codes), then write in
-        place and drop the decoded-configuration cache.  Callers handle
-        their own dirty-set bookkeeping."""
+    def _commit(self, diff: np.ndarray, new_diff: np.ndarray) -> CodeChangeSet:
+        """Apply the moved lanes: fold the goodness counts (which must
+        read pre-write codes), write in place, drop the
+        decoded-configuration cache, and hand the three fresh code
+        arrays to the step's :class:`CodeChangeSet`, which freezes them.
+        Callers handle their own dirty-set bookkeeping."""
         codes = self._codes
         old_diff = codes[diff]
-        if self._record_changes:
-            table = self._encoding.turn_table
-            changed = tuple(
-                zip(
-                    diff.tolist(),
-                    [table[c] for c in old_diff.tolist()],
-                    [table[c] for c in new_diff.tolist()],
-                )
-            )
-        else:
-            changed = ()
         self._update_goodness(diff, old_diff, new_diff)
         codes[diff] = new_diff
         self._config_cache = None
-        return changed
+        return CodeChangeSet(diff, old_diff, new_diff, self._encoding.turn_table)
 
     def _evaluate(
         self, codes: np.ndarray, rows: Optional[np.ndarray], csr
@@ -330,7 +285,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
     def _apply_dense(
         self, rows: Optional[np.ndarray]
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    ) -> Sequence[Tuple[int, Turn, Turn]]:
         """Dense-activation step: batch-recompute the activated lanes
         like the naive reference (writes in place) and wholesale-dirty
         the pipeline afterwards."""
@@ -370,7 +325,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
     def _apply_scalar(
         self, activated: FrozenSet[int]
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    ) -> Sequence[Tuple[int, Turn, Turn]]:
         codes = self._codes
         dirty = self._dirty
         pending = self._pending
@@ -389,15 +344,11 @@ class ArrayExecution(ExecutionBase["Turn"]):
         moved = [v for v in verts if pending[v] != codes[v]]
         if not moved:
             return ()
-        old_codes = [int(codes[v]) for v in moved]
-        new_codes = [int(pending[v]) for v in moved]
-        if self._record_changes:
-            table = self._encoding.turn_table
-            changed = tuple(
-                (v, table[o], table[c]) for v, o, c in zip(moved, old_codes, new_codes)
-            )
-        else:
-            changed = ()
+        old_codes = tuple([int(codes[v]) for v in moved])
+        new_codes = tuple([int(pending[v]) for v in moved])
+        changed = CodeChangeSet(
+            tuple(moved), old_codes, new_codes, self._encoding.turn_table
+        )
         self._update_goodness_scalar(moved, old_codes, new_codes)
         enabled_mask = self._enabled_mask
         for v, code in zip(moved, new_codes):
@@ -564,7 +515,7 @@ class ArrayExecution(ExecutionBase["Turn"]):
 
     def _apply_naive(
         self, activated: FrozenSet[int]
-    ) -> Tuple[Tuple[int, Turn, Turn], ...]:
+    ) -> Sequence[Tuple[int, Turn, Turn]]:
         codes = self._codes
         n = len(codes)
         if len(activated) == n:

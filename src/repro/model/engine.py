@@ -59,6 +59,7 @@ Use :func:`create_execution` to pick an engine by name
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -68,6 +69,7 @@ from typing import (
     Iterable,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
 )
@@ -84,13 +86,84 @@ from repro.model.scheduler import Scheduler
 Q = TypeVar("Q")
 
 
+def _python_ints(seq):
+    return seq.tolist() if isinstance(seq, np.ndarray) else seq
+
+
+class CodeChangeSet(SequenceABC):
+    """The ``(node, old_state, new_state)`` changes of one array-tier
+    step, held as integer codes and decoded on demand.
+
+    ``nodes``, ``old_codes`` and ``new_codes`` are read-only integer
+    sequences owned by the record (fresh read-only arrays on the batched
+    paths, tuples on the scalar path), so a record kept past later steps
+    never sees engine scratch move under it.  ``len()`` and truthiness
+    are O(1) and never decode; iteration, indexing, ``==`` and ``hash``
+    decode once through ``turn_table`` into the plain tuple of
+    ``(int, Turn, Turn)`` (ascending node order), and compare and hash
+    equal to a tuple holding the same changes in the same order.
+    """
+
+    __slots__ = ("nodes", "old_codes", "new_codes", "turn_table", "_decoded")
+
+    def __init__(self, nodes, old_codes, new_codes, turn_table) -> None:
+        for seq in (nodes, old_codes, new_codes):
+            if isinstance(seq, np.ndarray):
+                seq.flags.writeable = False
+        self.nodes = nodes
+        self.old_codes = old_codes
+        self.new_codes = new_codes
+        self.turn_table = turn_table
+        self._decoded: Optional[tuple] = None
+
+    def decoded(self) -> tuple:
+        """The plain change tuple (decoded once, then cached)."""
+        if self._decoded is None:
+            lookup = self.turn_table.__getitem__
+            self._decoded = tuple(
+                zip(
+                    _python_ints(self.nodes),
+                    map(lookup, _python_ints(self.old_codes)),
+                    map(lookup, _python_ints(self.new_codes)),
+                )
+            )
+        return self._decoded
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self):
+        return iter(self.decoded())
+
+    def __getitem__(self, index):
+        return self.decoded()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CodeChangeSet):
+            other = other.decoded()
+        if isinstance(other, tuple):
+            return self.decoded() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.decoded())
+
+    def __repr__(self) -> str:
+        return repr(self.decoded())
+
+
 @dataclass(frozen=True)
 class StepRecord(Generic[Q]):
-    """What happened during one step."""
+    """What happened during one step.
+
+    ``changed`` holds one ``(node, old_state, new_state)`` per node the
+    step moved: a plain tuple on the object and net engines, a
+    :class:`CodeChangeSet` (ascending node order) on the array tier,
+    which equals the same tuple but is counted without decoding."""
 
     t: int
     activated: FrozenSet[int]
-    changed: Tuple[Tuple[int, Q, Q], ...]  # (node, old_state, new_state)
+    changed: Sequence[Tuple[int, Q, Q]]  # (node, old_state, new_state)
     completed_round: bool
     #: Post-step enabled count (nodes whose ``δ`` would move them),
     #: stamped only when the execution was built with
@@ -157,11 +230,6 @@ class ExecutionBase(ABC, Generic[Q]):
         self._sched_t0 = 0
         self._rounds = RoundTracker(topology.nodes)
         self._started = False
-        #: When False, ``_apply`` implementations may skip building the
-        #: per-change ``(node, old, new)`` tuples — the bulk
-        #: :meth:`advance` fast path, where no ``StepRecord`` consumes
-        #: them.  State updates themselves are unaffected.
-        self._record_changes = True
         self._masked: FrozenSet[int] = frozenset()
         self._state_epoch = 0
         self._topology_version = 0
@@ -178,9 +246,10 @@ class ExecutionBase(ABC, Generic[Q]):
         already validated)."""
 
     @abstractmethod
-    def _apply(self, activated: FrozenSet[int]) -> Tuple[Tuple[int, Q, Q], ...]:
+    def _apply(self, activated: FrozenSet[int]) -> Sequence[Tuple[int, Q, Q]]:
         """Apply one simultaneous-update step for ``activated`` under
-        the pre-step configuration and return the change tuples."""
+        the pre-step configuration and return the change tuples (or a
+        :class:`CodeChangeSet` equal to them)."""
 
     @property
     @abstractmethod
@@ -433,15 +502,12 @@ class ExecutionBase(ABC, Generic[Q]):
         return record
 
     def advance(self, steps: int) -> None:
-        """Advance ``steps`` steps without returning records.
+        """Advance ``steps`` steps, discarding their records.
 
-        The trajectory is bit-identical to ``steps`` :meth:`step` calls
-        (same scheduler draws, same round bookkeeping); engines may
-        override this with a record-free bulk loop that skips the
-        per-step ``StepRecord``/change-tuple materialization — the
-        frontier-benchmark drive mode, where at n = 10^6 the Python
-        bookkeeping would otherwise dominate the compiled kernels.
-        Monitors still fire through the generic path when present.
+        Exactly ``steps`` :meth:`step` calls: there is one step path.
+        On the array tier a record's change set stays in code form until
+        someone reads it, so a discarded record costs O(1) per step, not
+        O(moves).
         """
         for _ in range(steps):
             self.step()

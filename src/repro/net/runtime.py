@@ -267,8 +267,7 @@ class NetExecution(ExecutionBase):
     # ------------------------------------------------------------------
 
     def _record_change(self, node: int, old, new) -> None:
-        if self._record_changes:
-            self._pending_changes.append((node, old, new))
+        self._pending_changes.append((node, old, new))
 
     def _act_done(self) -> None:
         self._acts_pending -= 1

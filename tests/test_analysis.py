@@ -31,7 +31,10 @@ from repro.analysis.tables import render_table, results_dir
 from repro.core.algau import ThinUnison, TransitionType
 from repro.core.predicates import good_nodes
 from repro.faults.injection import random_configuration, uniform_configuration
-from repro.graphs.generators import complete_graph, ring
+from repro.core.turns import able
+from repro.graphs.dynamic import TopologyDelta
+from repro.graphs.generators import complete_graph, path, ring
+from repro.model.engine import create_execution
 from repro.model.errors import StabilizationError
 from repro.model.execution import Execution
 from repro.model.scheduler import SynchronousScheduler
@@ -102,6 +105,32 @@ class TestMonitors:
         execution.run(max_rounds=5)
         assert counter.totals[TransitionType.AA] == 20  # 4 nodes × 5 rounds
         assert counter.pulses(0) == 5
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_transition_counter_tallies_joined_nodes(self, engine):
+        """A node that joins after start gets its own tally on its first
+        move instead of crashing the counter."""
+        alg = ThinUnison(3)
+        topology = path(6)
+        counter = TransitionCounter(alg)
+        execution = create_execution(
+            topology,
+            alg,
+            uniform_configuration(alg, topology),
+            SynchronousScheduler(),
+            rng=np.random.default_rng(0),
+            monitors=(counter,),
+            engine=engine,
+        )
+        execution.step()
+        far = able(alg.levels.level_of_clock(alg.levels.group_order // 2))
+        execution.mutate_topology(TopologyDelta(join=((6, (5,), far),)))
+        for _ in range(3):
+            execution.step()
+        assert sum(counter.per_node[6].values()) > 0
+        assert sum(counter.totals.values()) == sum(
+            sum(tally.values()) for tally in counter.per_node.values()
+        )
 
     def test_output_change_monitor(self):
         rng = np.random.default_rng(0)

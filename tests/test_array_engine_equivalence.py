@@ -13,13 +13,16 @@ array engine is built on.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.monitors import MoveCounter
 from repro.core.algau import ThinUnison
 from repro.core.encoding import TurnEncoding
 from repro.core.predicates import is_good_graph
@@ -38,7 +41,8 @@ from repro.graphs.generators import (
     torus,
 )
 from repro.model.array_engine import ArrayExecution, supports_array_engine
-from repro.model.engine import create_execution
+from repro.model.configuration import Configuration
+from repro.model.engine import CodeChangeSet, create_execution
 from repro.model.errors import ModelError
 from repro.model.execution import Execution
 from repro.model.scheduler import (
@@ -328,6 +332,30 @@ def test_configuration_round_trip_property(d, seed):
     arbitrary = rng.integers(0, encoding.size, size=topology.n)
     decoded = encoding.decode_configuration(topology, arbitrary)
     assert np.array_equal(encoding.encode_configuration(decoded), arbitrary)
+
+
+def test_encode_configuration_accepts_equal_but_distinct_turns():
+    """The identity-keyed fast path must not be the only path: turns
+    that equal the table's but were constructed separately still encode
+    to the right codes."""
+    algorithm = ThinUnison(2)
+    encoding = algorithm.encoding
+    topology = ring(6)
+    codes = np.array([0, 3, encoding.size - 1, 5, encoding.num_clocks, 1])
+    decoded = encoding.decode_configuration(topology, codes).states()
+    rebuilt = [Turn(level=turn.level, faulty=turn.faulty) for turn in decoded]
+    assert not any(mine is theirs for mine, theirs in zip(rebuilt, decoded))
+    config = Configuration(topology, dict(enumerate(rebuilt)))
+    assert np.array_equal(encoding.encode_configuration(config), codes)
+
+
+def test_encode_configuration_rejects_turns_of_another_k():
+    small, large = ThinUnison(1), ThinUnison(3)
+    topology = ring(4)
+    states = {v: small.initial_state() for v in topology.nodes}
+    states[2] = large.turns.faulty_turns[-1]  # |level| beyond small's k
+    with pytest.raises(ModelError, match="not a turn for k="):
+        small.encoding.encode_configuration(Configuration(topology, states))
 
 
 def test_encoding_rejects_garbage():
@@ -689,3 +717,169 @@ class TestDynamicTopologyOnArrayEngine:
         )
         expected = algorithm.encoding.encode_configuration(carried)
         assert np.array_equal(execution.codes, expected)
+
+
+# ----------------------------------------------------------------------
+# Step records: the code-backed change set of the array tier.
+# ----------------------------------------------------------------------
+
+#: The lanes whose records carry a :class:`CodeChangeSet`.
+ARRAY_TIER = ("array", "native", "replica-batch")
+
+RECORD_SCHEDULERS = {
+    "sync": SynchronousScheduler,
+    "subset": lambda: RandomSubsetScheduler(0.2),
+    "round-robin": RoundRobinScheduler,
+}
+
+#: path -> (scheduler, incremental, the method only that path calls).
+RECORD_PATHS = {
+    "dense": ("sync", True, "_apply_dense"),
+    "incremental": ("subset", True, "_mark_dirty_rows"),
+    "scalar": ("round-robin", True, "_apply_scalar"),
+    "naive": ("subset", False, "_apply_naive"),
+}
+
+
+def _lanes(engines, sched_key, incremental=True, monitors=()):
+    """One execution per entry of ``engines`` over one seeded instance."""
+    topology = damaged_clique(30, 2, np.random.default_rng(5))
+    algorithm = ThinUnison(2)
+    initial = random_configuration(algorithm, topology, np.random.default_rng(6))
+    return [
+        create_execution(
+            topology,
+            algorithm,
+            initial,
+            RECORD_SCHEDULERS[sched_key](),
+            rng=np.random.default_rng(7),
+            monitors=tuple(monitor() for monitor in monitors),
+            engine=engine,
+            incremental=incremental,
+        )
+        for engine in engines
+    ]
+
+
+def _ascending(record):
+    """``record`` with its change tuples in node order (the object
+    engine lists them in activation-set iteration order)."""
+    return dataclasses.replace(
+        record, changed=tuple(sorted(record.changed, key=operator.itemgetter(0)))
+    )
+
+
+def _spy(execution, name):
+    """Count calls of one engine method on this instance."""
+    calls = []
+    method = getattr(execution, name)
+
+    def counted(*args):
+        calls.append(1)
+        return method(*args)
+
+    setattr(execution, name, counted)
+    return calls
+
+
+def _code_lists(change_set):
+    return [
+        list(seq)
+        for seq in (change_set.nodes, change_set.old_codes, change_set.new_codes)
+    ]
+
+
+class TestCodeChangeSet:
+    """Array-tier records hold their changes as codes and decode only
+    when read, yet compare and hash like the object engine's tuples."""
+
+    @pytest.mark.parametrize("path", sorted(RECORD_PATHS))
+    @pytest.mark.parametrize("engine", ARRAY_TIER)
+    def test_records_match_the_object_engine(self, engine, path):
+        sched_key, incremental, marker = RECORD_PATHS[path]
+        reference, execution = _lanes(("object", engine), sched_key, incremental)
+        calls = _spy(execution, marker)
+        for step in range(30):
+            expected = _ascending(reference.step())
+            record = execution.step()
+            assert record == expected, step
+            assert expected == record, step
+            assert hash(record) == hash(expected), step
+            assert hash(record.changed) == hash(expected.changed), step
+            if record.changed:
+                assert isinstance(record.changed, CodeChangeSet)
+        assert calls, f"the {path} path never ran"
+        assert execution.configuration == reference.configuration
+
+    def test_len_and_truth_do_not_decode(self, monkeypatch):
+        (execution,) = _lanes(("native",), "sync", monitors=(MoveCounter,))
+        records = [execution.step() for _ in range(3)]
+
+        def refuse(self):
+            raise AssertionError("decoded")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(CodeChangeSet, "decoded", refuse)
+            sizes = [len(record.changed) for record in records]
+            truths = [bool(record.changed) for record in records]
+            execution.run(max_steps=10)  # MoveCounter counts without decoding
+        assert sizes == [len(tuple(record.changed)) for record in records]
+        assert truths == [size > 0 for size in sizes]
+        assert execution.monitors[0].moves > sum(sizes) > 0
+
+    def test_sequences_are_read_only(self):
+        (dense,) = _lanes(("array",), "sync")
+        change_set = dense.step().changed
+        for seq in (change_set.nodes, change_set.old_codes, change_set.new_codes):
+            assert isinstance(seq, np.ndarray)
+            assert not seq.flags.writeable
+            with pytest.raises(ValueError):
+                seq[0] = 0
+        (scalar,) = _lanes(("array",), "round-robin")
+        change_set = next(
+            record.changed for record in iter(scalar.step, None) if record.changed
+        )
+        assert all(
+            type(seq) is tuple
+            for seq in (change_set.nodes, change_set.old_codes, change_set.new_codes)
+        )
+
+    @pytest.mark.parametrize("sched_key", sorted(RECORD_SCHEDULERS))
+    @pytest.mark.parametrize("engine", ARRAY_TIER)
+    def test_kept_record_is_unchanged_by_later_steps(self, engine, sched_key):
+        reference, execution = _lanes(("object", engine), sched_key)
+        while True:
+            expected = _ascending(reference.step())
+            kept = execution.step()
+            if kept.changed:
+                break
+        codes = _code_lists(kept.changed)
+        for _ in range(10):
+            reference.step()
+            execution.step()
+        assert _code_lists(kept.changed) == codes
+        assert kept == expected
+
+    @pytest.mark.parametrize("sched_key", sorted(RECORD_SCHEDULERS))
+    def test_move_counter_totals_agree_across_lanes(self, sched_key):
+        from repro.net import create_net_execution
+
+        engines = ("object",) + ARRAY_TIER
+        lanes = _lanes(engines, sched_key, monitors=(MoveCounter,))
+        net = create_net_execution(
+            lanes[0].topology,
+            lanes[0].algorithm,
+            lanes[0].configuration,
+            RECORD_SCHEDULERS[sched_key](),
+            rng=np.random.default_rng(7),
+            monitors=(MoveCounter(),),
+        )
+        try:
+            net.run(max_steps=40)
+        finally:
+            net.close()
+        totals = {"net": net.monitors[0].moves}
+        for engine, execution in zip(engines, lanes):
+            execution.run(max_steps=40)
+            totals[engine] = execution.monitors[0].moves
+        assert len(set(totals.values())) == 1 and totals["net"] > 0, totals

@@ -13,8 +13,7 @@ here checks the same contract the array engine owes the object model:
 * engines — :class:`NativeExecution` must reproduce
   :class:`ArrayExecution` step for step across graphs, schedulers,
   and every fault regime (storms, Byzantine pokes, crash masks), and
-  the record-free ``advance()`` bulk path must land on the same state
-  as the step loop;
+  ``advance()`` must land on the same state as the step loop;
 * plumbing — registry, CLI, fallback-when-unavailable, the frontier
   CSR builders, and the replica-batch lane.
 
@@ -32,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.monitors import MoveCounter
 from repro.core import algau_native
 from repro.core.algau import ThinUnison
 from repro.core.algau_native import (
@@ -355,10 +355,10 @@ class TestNativeEngineDifferential:
                 execution.mask_nodes(())
         assert np.array_equal(pair[0].codes, pair[1].codes)
 
-    @pytest.mark.parametrize("engine", ["array", "native"])
+    @pytest.mark.parametrize("engine", ["array", "native", "replica-batch"])
     def test_advance_equals_the_step_loop(self, engine):
-        """The record-free bulk path must land on exactly the state the
-        step loop reaches — codes, time, and round boundaries."""
+        """``advance()`` must land on exactly the state the step loop
+        reaches — codes, time, round boundaries and move count."""
         topology = damaged_clique(10, 2, np.random.default_rng(11))
         algorithm = ThinUnison(2)
         initial = random_configuration(algorithm, topology, np.random.default_rng(12))
@@ -369,6 +369,7 @@ class TestNativeEngineDifferential:
                 initial,
                 ShuffledRoundRobinScheduler(),
                 rng=np.random.default_rng(13),
+                monitors=(MoveCounter(),),
                 engine=engine,
             )
             for _ in range(2)
@@ -381,12 +382,13 @@ class TestNativeEngineDifferential:
         assert bulk.rounds.boundaries == looped.rounds.boundaries
         assert bulk.completed_rounds == looped.completed_rounds
         assert bulk.graph_is_good() == looped.graph_is_good()
+        assert bulk.monitors[0].moves == looped.monitors[0].moves > 0
         # advance composes with step() afterwards.
         assert bulk.step() == looped.step()
 
     def test_advance_with_intervention_takes_the_recording_path(self):
-        """Monitored/intervened runs cannot drop StepRecords; advance
-        must still be equivalent (it degrades to the step loop)."""
+        """Intervened runs: advance is the step loop, so transient
+        faults land on the same steps either way."""
         topology = ring(9)
         algorithm = ThinUnison(2)
         initial = random_configuration(algorithm, topology, np.random.default_rng(1))
